@@ -30,7 +30,6 @@
 namespace {
 
 using sofya::AlignKind;
-using sofya::CandidateFinder;
 using sofya::CandidateFinderOptions;
 using sofya::CandidateSourceKind;
 using sofya::Term;
@@ -63,7 +62,7 @@ SourceRun RunSource(sofya::SynthWorld* world, CandidateSourceKind kind) {
   CandidateFinderOptions options;
   options.source = kind;
   options.lexical_cache = std::make_shared<sofya::LexicalIndexCache>();
-  CandidateFinder finder(&cand, &ref, &to_cand, options);
+  auto source = sofya::MakeCandidateSource(&cand, &ref, &to_cand, options);
 
   const std::vector<std::string> refs = world->truth.RelationsOf("canon2");
   const std::vector<std::string> golds = world->truth.RelationsOf("canon1");
@@ -75,7 +74,7 @@ SourceRun RunSource(sofya::SynthWorld* world, CandidateSourceKind kind) {
     const std::string gold = GoldEquivalent(world->truth, iri, golds);
     if (gold.empty()) continue;
     ++scored;
-    auto candidates = finder.FindCandidates(Term::Iri(iri));
+    auto candidates = source->Discover(Term::Iri(iri));
     if (!candidates.ok()) continue;
     run.discovered += candidates->size();
     for (const auto& c : *candidates) {

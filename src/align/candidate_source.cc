@@ -133,9 +133,8 @@ SameAsOverlapSource::SameAsOverlapSource(Endpoint* candidate_kb,
 
 StatusOr<std::vector<ScoredCandidate>> SameAsOverlapSource::Discover(
     const Term& r) {
-  // The pre-refactor CandidateFinder::FindCandidates body, moved verbatim:
-  // identical queries in identical order, so the refactor is query-count-
-  // invisible (regression-tested against a frozen copy of the old code).
+  // The original discovery body, moved verbatim: identical queries in
+  // identical order (regression-tested against a frozen copy).
   std::vector<ScoredCandidate> result;
   const TermId r_id = reference_kb_->LookupTerm(r);
   if (r_id == kNullTermId) return result;
@@ -235,7 +234,7 @@ StatusOr<std::vector<ScoredCandidate>> SameAsOverlapSource::Discover(
     if (count < options_.min_cooccurrence) continue;
     // Score: co-occurrence as a fraction of the probe budget. The ranking
     // below still keys on the raw count (score is monotone in it), so the
-    // candidate order matches the pre-refactor finder exactly.
+    // candidate order matches the original finder exactly.
     const double score = std::min(
         1.0, static_cast<double>(count) /
                  static_cast<double>(std::max<size_t>(1, options_.sample_facts)));
@@ -522,6 +521,52 @@ StatusOr<std::vector<ScoredCandidate>> CompositeCandidateSource::Discover(
   }
   RankAndTruncate(&combined, options_.max_candidates);
   return combined;
+}
+
+std::unique_ptr<CandidateSource> MakeCandidateSource(
+    Endpoint* candidate_kb, Endpoint* reference_kb,
+    const CrossKbTranslator* to_candidate,
+    const CandidateFinderOptions& options) {
+  switch (options.source) {
+    case CandidateSourceKind::kSameAs:
+      return std::make_unique<SameAsOverlapSource>(candidate_kb, reference_kb,
+                                                   to_candidate, options);
+    case CandidateSourceKind::kLexical:
+      return std::make_unique<LexicalIndexSource>(candidate_kb, options);
+    case CandidateSourceKind::kDistribution:
+      return std::make_unique<DistributionSource>(candidate_kb, reference_kb,
+                                                  options);
+    case CandidateSourceKind::kAuto:
+      return std::make_unique<CompositeCandidateSource>(
+          candidate_kb, reference_kb, to_candidate, options);
+  }
+  return nullptr;  // Unreachable: every kind is handled above.
+}
+
+std::vector<CandidateRelation> FoldPriors(
+    std::vector<ScoredCandidate> scored,
+    const CandidateFinderOptions& options) {
+  double weight = 1.0;  // kAuto: already noisy-or combined.
+  switch (options.source) {
+    case CandidateSourceKind::kSameAs:
+      weight = options.sameas_weight;
+      break;
+    case CandidateSourceKind::kLexical:
+      weight = options.lexical_weight;
+      break;
+    case CandidateSourceKind::kDistribution:
+      weight = options.distribution_weight;
+      break;
+    case CandidateSourceKind::kAuto:
+      break;
+  }
+  std::vector<CandidateRelation> out;
+  out.reserve(scored.size());
+  for (ScoredCandidate& c : scored) {
+    out.push_back(CandidateRelation{std::move(c.relation), c.cooccurrences,
+                                    weight * c.score});
+  }
+  return out;
 }
 
 }  // namespace sofya

@@ -6,11 +6,12 @@
 // entity-level sameAs links — the very thing the interesting scenarios
 // (PARIS-style probabilistic alignment, FLORA's unsupervised setting,
 // cross-lingual KBs) don't have. This header turns discovery into a
-// pluggable layer with three sources plus a combiner:
+// pluggable layer with three sources plus a combiner, one of which
+// MakeCandidateSource builds from CandidateFinderOptions::source:
 //
-//   * SameAsOverlapSource   — the paper's sampler, verbatim (the refactor
-//                             is regression-tested to be verdict- and
-//                             query-count-identical to the old finder);
+//   * SameAsOverlapSource   — the paper's sampler, verbatim (regression-
+//                             tested to be verdict- and query-count-
+//                             identical to a frozen copy of the original);
 //   * LexicalIndexSource    — character-n-gram MinHash/LSH over the
 //                             candidate endpoint's predicate inventory
 //                             (similarity/minhash_lsh.h): sub-linear label
@@ -26,7 +27,7 @@
 // sampling + confidence + UBS still decide. Every source talks to the KBs
 // exclusively through the Endpoint interface and is a deterministic
 // function of (relation, options, query results), which is what keeps
-// AlignMany bit-identical across thread counts and schedules.
+// AlignMany bit-identical across thread counts.
 //
 // The lexical index is built lazily from the candidate endpoint's
 // predicate inventory and memoized in a LexicalIndexCache shared across
@@ -54,7 +55,7 @@
 
 namespace sofya {
 
-/// Which discovery source the finder orchestrates.
+/// Which discovery source MakeCandidateSource builds.
 enum class CandidateSourceKind {
   kSameAs,        ///< Entity-pair overlap through sameAs (the paper).
   kLexical,       ///< MinHash/LSH label similarity.
@@ -100,8 +101,7 @@ class LexicalIndexCache {
   uint64_t hits_ = 0;
 };
 
-/// Candidate discovery configuration (the finder's options struct; lives
-/// here so the sources and the orchestrator share one definition).
+/// Candidate discovery configuration, shared by every source.
 struct CandidateFinderOptions {
   /// Reference facts to probe (after shuffling the scan window).
   size_t sample_facts = 30;
@@ -118,7 +118,7 @@ struct CandidateFinderOptions {
   size_t page_size = 250;
   LiteralMatcherOptions literal_options;
 
-  /// Which source(s) FindCandidates orchestrates.
+  /// Which source(s) MakeCandidateSource builds.
   CandidateSourceKind source = CandidateSourceKind::kSameAs;
 
   /// Lexical source: LSH shape + acceptance floor for bucket mates.
@@ -144,7 +144,7 @@ struct CandidateFinderOptions {
 
 /// One scored candidate as produced by a source. Scores are in [0, 1] and
 /// source-specific (co-occurrence fraction, label similarity, profile
-/// similarity); the finder folds them into the PARIS-style prior.
+/// similarity); FoldPriors turns them into the PARIS-style prior.
 struct ScoredCandidate {
   Term relation;             ///< r' in K'.
   double score = 0.0;
@@ -176,8 +176,8 @@ class CandidateSource {
 };
 
 /// The paper's sampler behind the source interface. The probe pipeline is
-/// the pre-refactor CandidateFinder body moved verbatim: same queries, same
-/// order, same counts — regression-tested against a frozen copy.
+/// the original discovery body moved verbatim: same queries, same order,
+/// same counts — regression-tested against a frozen copy.
 class SameAsOverlapSource : public CandidateSource {
  public:
   SameAsOverlapSource(Endpoint* candidate_kb, Endpoint* reference_kb,
@@ -285,6 +285,20 @@ class CompositeCandidateSource : public CandidateSource {
   const CrossKbTranslator* to_candidate_;
   CandidateFinderOptions options_;
 };
+
+/// The source `options.source` selects, bound to the given endpoints
+/// (nothing is owned). `to_candidate` must translate K terms into K'.
+std::unique_ptr<CandidateSource> MakeCandidateSource(
+    Endpoint* candidate_kb, Endpoint* reference_kb,
+    const CrossKbTranslator* to_candidate,
+    const CandidateFinderOptions& options);
+
+/// Folds the scored output of the source `options.source` selects into the
+/// aligner's candidates. The prior is the PARIS-style noisy-or over the
+/// sources that scored a relation: for a single source it collapses to
+/// w_s * score; kAuto's scores already are combined priors (weight 1).
+std::vector<CandidateRelation> FoldPriors(
+    std::vector<ScoredCandidate> scored, const CandidateFinderOptions& options);
 
 }  // namespace sofya
 

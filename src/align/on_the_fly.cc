@@ -25,8 +25,7 @@ StatusOr<const AlignmentResult*> OnTheFlyAligner::AlignCached(const Term& r) {
 }
 
 StatusOr<std::vector<const AlignmentResult*>> OnTheFlyAligner::AlignManyCached(
-    std::span<const Term> relations, size_t num_threads,
-    AlignSchedule schedule) {
+    std::span<const Term> relations, size_t num_threads) {
   // Collect the distinct relations that still need work.
   std::vector<Term> pending;
   for (const Term& r : relations) {
@@ -38,11 +37,8 @@ StatusOr<std::vector<const AlignmentResult*>> OnTheFlyAligner::AlignManyCached(
   }
 
   if (!pending.empty()) {
-    AlignManyOptions fan_out;
-    fan_out.num_threads = num_threads;
-    fan_out.schedule = schedule;
     SOFYA_ASSIGN_OR_RETURN(AlignManyResult fleet,
-                           aligner_.AlignMany(pending, fan_out));
+                           aligner_.AlignMany(pending, num_threads));
     alignments_performed_ += fleet.results.size();
     for (size_t i = 0; i < fleet.results.size(); ++i) {
       cache_.emplace(pending[i], std::move(fleet.results[i]));

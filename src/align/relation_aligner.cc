@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -61,9 +60,11 @@ void ApplyRunSeed(AlignerOptions* options, uint64_t seed) {
 
 StatusOr<std::vector<CandidateRelation>> RelationAligner::DiscoverPhase(
     const Term& r) {
-  CandidateFinder finder(candidate_kb_, reference_kb_, &to_candidate_,
-                         options_.finder);
-  return finder.FindCandidates(r);
+  std::unique_ptr<CandidateSource> source = MakeCandidateSource(
+      candidate_kb_, reference_kb_, &to_candidate_, options_.finder);
+  SOFYA_ASSIGN_OR_RETURN(std::vector<ScoredCandidate> scored,
+                         source->Discover(r));
+  return FoldPriors(std::move(scored), options_.finder);
 }
 
 StatusOr<CandidateVerdict> RelationAligner::ScorePhase(
@@ -115,8 +116,8 @@ Status RelationAligner::UbsPhase(const Term& r,
       if (options_.ubs.enable_reference_siblings) {
         CandidateFinderOptions sibling_options = options_.finder;
         sibling_options.max_candidates = options_.ubs.reference_sibling_limit;
-        CandidateFinder sibling_finder(reference_kb_, candidate_kb_,
-                                       &to_reference_, sibling_options);
+        std::unique_ptr<CandidateSource> sibling_source = MakeCandidateSource(
+            reference_kb_, candidate_kb_, &to_reference_, sibling_options);
         for (const Term& survivor : survivors) {
           if (report.SubsumptionHits(survivor) >=
                   options_.ubs.min_contradictions &&
@@ -124,9 +125,8 @@ Status RelationAligner::UbsPhase(const Term& r,
                   options_.ubs.min_contradictions) {
             continue;  // Already fully contradicted.
           }
-          SOFYA_ASSIGN_OR_RETURN(
-              std::vector<CandidateRelation> siblings,
-              sibling_finder.FindCandidates(survivor));
+          SOFYA_ASSIGN_OR_RETURN(std::vector<ScoredCandidate> siblings,
+                                 sibling_source->Discover(survivor));
           std::vector<Term> sibling_terms;
           for (const auto& s : siblings) sibling_terms.push_back(s.relation);
           SOFYA_RETURN_IF_ERROR(ubs.ProbeReferenceSiblings(
@@ -183,8 +183,8 @@ StatusOr<AlignmentResult> RelationAligner::Align(const Term& r) {
   const EndpointStats cand_before = candidate_kb_->stats();
   const EndpointStats ref_before = reference_kb_->stats();
 
-  // The sequential composition of the four phases — the reference the
-  // scheduled decomposition must be bit-identical to.
+  // The sequential composition of the four phases — the reference
+  // AlignMany's decomposition must be bit-identical to.
   SOFYA_ASSIGN_OR_RETURN(std::vector<CandidateRelation> candidates,
                          DiscoverPhase(r));
   for (const CandidateRelation& candidate : candidates) {
@@ -222,9 +222,8 @@ namespace {
 /// Runs one phase body, converting any escaping exception into a Status.
 /// Phase subtasks run via ThreadPool::Post (fire-and-forget continuations,
 /// no future to carry an exception), so an uncaught throw — say bad_alloc
-/// inside sampling — would terminate the process; the monolith scheduler
-/// and sequential Align surface it as an error instead, and the two
-/// schedules must fail the same way.
+/// inside sampling — would terminate the process instead of failing the
+/// relation.
 template <typename Fn>
 Status RunPhaseBody(Fn&& body) {
   try {
@@ -255,7 +254,7 @@ EndpointStats StatsDelta(const EndpointStats& after,
 
 }  // namespace
 
-/// Per-relation state of the phase scheduler. Each relation owns private
+/// Per-relation state of AlignMany. Each relation owns private
 /// tracking views over the shared endpoint stack (thread-safe: the
 /// relation's subtasks run on different workers) and a task aligner bound
 /// to those views, so per-relation attribution is exact regardless of what
@@ -287,7 +286,7 @@ struct RelationRun {
   std::atomic<size_t> pending{0};  ///< Subtasks outstanding in this phase.
 };
 
-StatusOr<AlignManyResult> RelationAligner::AlignManyPhased(
+StatusOr<AlignManyResult> RelationAligner::AlignMany(
     std::span<const Term> relations, size_t num_threads) {
   AlignManyResult fleet;
   if (relations.empty()) return fleet;
@@ -462,71 +461,6 @@ StatusOr<AlignManyResult> RelationAligner::AlignManyPhased(
   fleet.candidate_stats = StatsDelta(cand_after, cand_before);
   fleet.reference_stats = StatsDelta(ref_after, ref_before);
   return fleet;
-}
-
-StatusOr<AlignManyResult> RelationAligner::AlignManyMonolith(
-    std::span<const Term> relations, size_t num_threads) {
-  AlignManyResult fleet;
-  if (relations.empty()) return fleet;
-  num_threads = std::clamp<size_t>(num_threads, 1, relations.size());
-  fleet.threads_used = num_threads;
-  fleet.subtasks_scheduled = relations.size();
-
-  const EndpointStats cand_before = candidate_kb_->stats();
-  const EndpointStats ref_before = reference_kb_->stats();
-  WallTimer timer;
-
-  // One task per relation. Each task builds a private tracking view over
-  // the shared endpoints plus its own (cheap) aligner, so Align's internal
-  // delta accounting reads this task's counters instead of racing on the
-  // shared stack's. Even num_threads == 1 goes through this path: the
-  // attribution regime must not depend on the thread count.
-  auto align_one = [this](const Term& r) -> StatusOr<AlignmentResult> {
-    TrackingEndpoint candidate_view(candidate_kb_);
-    TrackingEndpoint reference_view(reference_kb_);
-    RelationAligner task_aligner(&candidate_view, &reference_view, links_,
-                                 options_);
-    return task_aligner.Align(r);
-  };
-
-  std::vector<StatusOr<AlignmentResult>> slots;
-  slots.reserve(relations.size());
-  {
-    ThreadPool pool(num_threads);
-    std::vector<std::future<StatusOr<AlignmentResult>>> futures;
-    futures.reserve(relations.size());
-    for (const Term& r : relations) {
-      futures.push_back(pool.Submit([&align_one, &r] { return align_one(r); }));
-    }
-    for (auto& future : futures) slots.push_back(future.get());
-  }
-
-  fleet.wall_ms = timer.ElapsedMillis();
-  const EndpointStats cand_after = candidate_kb_->stats();
-  const EndpointStats ref_after = reference_kb_->stats();
-
-  // Report the first failure by input order (deterministic regardless of
-  // which task lost the wall-clock race).
-  for (const auto& slot : slots) {
-    if (!slot.ok()) return slot.status();
-  }
-  fleet.results.reserve(slots.size());
-  for (auto& slot : slots) fleet.results.push_back(std::move(slot).value());
-
-  fleet.candidate_stats = StatsDelta(cand_after, cand_before);
-  fleet.reference_stats = StatsDelta(ref_after, ref_before);
-  return fleet;
-}
-
-StatusOr<AlignManyResult> RelationAligner::AlignMany(
-    std::span<const Term> relations, const AlignManyOptions& options) {
-  switch (options.schedule) {
-    case AlignSchedule::kPhase:
-      return AlignManyPhased(relations, options.num_threads);
-    case AlignSchedule::kRelation:
-      return AlignManyMonolith(relations, options.num_threads);
-  }
-  return Status::Internal("unknown align schedule");
 }
 
 }  // namespace sofya

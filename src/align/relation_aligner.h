@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "align/candidate_finder.h"
+#include "align/candidate_source.h"
 #include "endpoint/endpoint.h"
 #include "mining/confidence.h"
 #include "mining/rule.h"
@@ -119,33 +119,11 @@ struct AlignmentResult {
   }
 };
 
-/// How AlignMany carves relations into scheduler tasks.
-enum class AlignSchedule {
-  /// Phase-decomposed (default): each relation becomes a chain of
-  /// phase-level subtasks — candidate discovery, then one sampling subtask
-  /// per candidate, then the UBS probe wave, then one reverse-check subtask
-  /// per accepted candidate — scheduled on a shared work-stealing pool.
-  /// When one giant relation dominates the schema, its per-candidate
-  /// subtasks spread across every idle worker instead of serializing the
-  /// tail behind a single thread.
-  kPhase,
-  /// One monolithic task per relation (the pre-phase scheduler): simplest
-  /// attribution, but a skewed schema leaves N-1 workers idle while the
-  /// giant relation finishes. Kept for comparison benchmarks.
-  kRelation,
-};
-
 /// Derives per-component RNG seeds (candidate finder, samplers) from one
 /// run-level seed, so a CLI `--seed N` reproduces an entire run without the
 /// components sharing a stream. `seed == 0` is the "unset" sentinel and
 /// leaves the defaults untouched.
 void ApplyRunSeed(AlignerOptions* options, uint64_t seed);
-
-/// AlignMany configuration.
-struct AlignManyOptions {
-  size_t num_threads = 1;
-  AlignSchedule schedule = AlignSchedule::kPhase;
-};
 
 /// Result of a fleet alignment (AlignMany).
 struct AlignManyResult {
@@ -164,9 +142,8 @@ struct AlignManyResult {
   double wall_ms = 0.0;
   size_t threads_used = 1;
 
-  /// Scheduler tasks executed: relations.size() under kRelation, the total
-  /// number of phase subtasks under kPhase (discovery + per-candidate
-  /// sampling + UBS + per-accepted reverse checks).
+  /// Phase subtasks executed: discovery + per-candidate sampling + UBS +
+  /// per-accepted reverse checks, summed over the relations.
   size_t subtasks_scheduled = 0;
 
   /// Server-seen queries over both endpoints.
@@ -192,16 +169,18 @@ class RelationAligner {
   StatusOr<AlignmentResult> Align(const Term& r);
 
   /// Aligns many reference relations on a shared work-stealing pool of
-  /// `options.num_threads` workers. Under the default kPhase schedule each
-  /// relation is decomposed into phase-level subtasks (see AlignSchedule),
-  /// so a schema where one giant relation dominates no longer serializes
-  /// the tail behind one worker; kRelation keeps the one-task-per-relation
-  /// monolith. The endpoint stack underneath must be thread-safe (every
-  /// endpoint in this repo is).
+  /// `num_threads` workers. Each relation becomes a chain of phase-level
+  /// subtasks — candidate discovery, then one sampling subtask per
+  /// candidate, then the UBS probe wave, then one reverse-check subtask per
+  /// accepted candidate — so when one giant relation dominates the schema,
+  /// its per-candidate subtasks spread across every idle worker instead of
+  /// serializing the tail behind a single thread. The endpoint stack
+  /// underneath must be thread-safe (every endpoint in this repo is).
   ///
-  /// Determinism guarantee (both schedules, any thread count): per-relation
-  /// verdicts and per-relation query counts are bit-identical to sequential
-  /// Align, because every subtask is a pure function of (relation,
+  /// Determinism guarantee (any thread count): per-relation verdicts and
+  /// per-relation query counts are bit-identical to sequential Align over
+  /// relation-private TrackingEndpoints, because every subtask is a pure
+  /// function of (relation,
   /// candidate, options) — it depends only on query *results* (identical no
   /// matter who warmed a shared cache), results land in pre-assigned
   /// input-order slots, and counters come from a relation-private
@@ -219,23 +198,15 @@ class RelationAligner {
   /// against metered stacks are still safe, just not reproducible past the
   /// first ResourceExhausted/Unavailable.
   StatusOr<AlignManyResult> AlignMany(std::span<const Term> relations,
-                                      const AlignManyOptions& options);
-
-  /// Convenience overload: phase schedule at `num_threads` workers.
-  StatusOr<AlignManyResult> AlignMany(std::span<const Term> relations,
-                                      size_t num_threads) {
-    AlignManyOptions options;
-    options.num_threads = num_threads;
-    return AlignMany(relations, options);
-  }
+                                      size_t num_threads);
 
   const AlignerOptions& options() const { return options_; }
 
  private:
-  friend struct RelationRun;  // The phase scheduler's per-relation state.
+  friend struct RelationRun;  // AlignMany's per-relation state.
 
   // The four phases of one relation's alignment. Align() composes them
-  // sequentially; the kPhase scheduler runs them as subtasks. Each is a
+  // sequentially; AlignMany runs them as subtasks. Each is a
   // pure function of its arguments over the aligner's endpoints, which is
   // what makes the two compositions bit-identical.
 
@@ -252,13 +223,6 @@ class RelationAligner {
 
   /// Phase 4 (per accepted candidate): reverse direction for equivalence.
   Status ReversePhase(const Term& r, CandidateVerdict* verdict);
-
-  /// The kPhase scheduler behind AlignMany.
-  StatusOr<AlignManyResult> AlignManyPhased(std::span<const Term> relations,
-                                            size_t num_threads);
-  /// The kRelation (monolith-task) scheduler behind AlignMany.
-  StatusOr<AlignManyResult> AlignManyMonolith(std::span<const Term> relations,
-                                              size_t num_threads);
 
   Endpoint* candidate_kb_;  // K'. Not owned.
   Endpoint* reference_kb_;  // K.  Not owned.

@@ -8,12 +8,8 @@ namespace sofya {
 
 Sofya::Sofya(KnowledgeBase* candidate_kb, KnowledgeBase* reference_kb,
              const SameAsIndex* links, SofyaOptions options) {
-  LocalEndpointOptions local_options;
-  local_options.engine.planner = options.planner;
-  candidate_local_ =
-      std::make_unique<LocalEndpoint>(candidate_kb, local_options);
-  reference_local_ =
-      std::make_unique<LocalEndpoint>(reference_kb, local_options);
+  candidate_local_ = std::make_unique<LocalEndpoint>(candidate_kb);
+  reference_local_ = std::make_unique<LocalEndpoint>(reference_kb);
   BuildStack(candidate_local_.get(), reference_local_.get(),
              /*always_retry=*/false, links, options);
 }
@@ -72,15 +68,14 @@ StatusOr<const AlignmentResult*> Sofya::Align(
 }
 
 StatusOr<std::vector<const AlignmentResult*>> Sofya::AlignAll(
-    const std::vector<std::string>& relation_iris, size_t num_threads,
-    AlignSchedule schedule) {
+    const std::vector<std::string>& relation_iris, size_t num_threads) {
   std::vector<Term> relations;
   relations.reserve(relation_iris.size());
   for (const std::string& iri : relation_iris) {
     relations.push_back(Term::Iri(iri));
   }
   StatusOr<std::vector<const AlignmentResult*>> results =
-      on_the_fly_->AlignManyCached(relations, num_threads, schedule);
+      on_the_fly_->AlignManyCached(relations, num_threads);
   if (results.ok()) {
     // The audited-run manifest commits to this invocation: config, every
     // verdict in input order, and the query streams both endpoints saw

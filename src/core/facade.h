@@ -29,11 +29,6 @@ namespace sofya {
 struct SofyaOptions {
   AlignerOptions aligner;
 
-  /// Join-order planner for the in-process engines (KB constructor only —
-  /// a remote endpoint plans server-side). `use_statistics = false` falls
-  /// back to the legacy bound-position heuristic, the A/B baseline.
-  PlannerOptions planner;
-
   /// When true, both endpoints are wrapped in ThrottledEndpoint with the
   /// options below — the realistic remote-access regime (for real remote
   /// bases the throttle acts as a client-side budget/row-cap guard).
@@ -78,14 +73,11 @@ class Sofya {
   /// Aligns many reference relations in parallel across `num_threads`
   /// workers (whole-schema alignment, the regime PARIS targets). Each
   /// relation is decomposed into phase-level subtasks on a work-stealing
-  /// pool by default, so one giant relation cannot serialize the tail;
-  /// pass AlignSchedule::kRelation for the whole-relation-task scheduler.
-  /// Results come back in input order, are memoized like Align's, and are
-  /// bit-identical to sequential alignment for any thread count and either
-  /// schedule.
+  /// pool, so one giant relation cannot serialize the tail. Results come
+  /// back in input order, are memoized like Align's, and are bit-identical
+  /// to sequential alignment for any thread count.
   StatusOr<std::vector<const AlignmentResult*>> AlignAll(
-      const std::vector<std::string>& relation_iris, size_t num_threads = 1,
-      AlignSchedule schedule = AlignSchedule::kPhase);
+      const std::vector<std::string>& relation_iris, size_t num_threads = 1);
 
   /// Every relation IRI appearing as a predicate in the reference KB, in
   /// sorted order — the natural AlignAll input for whole-schema runs.

@@ -85,9 +85,9 @@ std::optional<ManifestDivergence> FirstDivergence(const RunManifest& a,
 std::string HashToHex(uint64_t value);
 
 /// Digest of the alignment configuration: every AlignerOptions field that
-/// determines verdicts. Execution-shape knobs (thread count, schedule,
-/// planner) are deliberately excluded — the pipeline is bit-identical
-/// across them, and the manifest must be too.
+/// determines verdicts. Execution-shape knobs (thread count, planner) are
+/// deliberately excluded — the pipeline is bit-identical across them, and
+/// the manifest must be too.
 std::string DigestAlignerConfig(const AlignerOptions& options);
 
 /// Digest of one relation's alignment outcome: the reference relation,

@@ -14,7 +14,7 @@
 #ifndef SOFYA_CORE_SOFYA_H_
 #define SOFYA_CORE_SOFYA_H_
 
-#include "align/candidate_finder.h"
+#include "align/candidate_source.h"
 #include "align/on_the_fly.h"
 #include "align/relation_aligner.h"
 #include "core/facade.h"

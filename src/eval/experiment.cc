@@ -40,11 +40,8 @@ StatusOr<DirectionRun> RunDirection(
     for (const std::string& head_iri : heads) {
       terms.push_back(Term::Iri(head_iri));
     }
-    AlignManyOptions fan_out;
-    fan_out.num_threads = options.num_threads;
-    fan_out.schedule = options.schedule;
     SOFYA_ASSIGN_OR_RETURN(AlignManyResult fleet,
-                           aligner.AlignMany(terms, fan_out));
+                           aligner.AlignMany(terms, options.num_threads));
     results = std::move(fleet.results);
   } else {
     for (const std::string& head_iri : heads) {

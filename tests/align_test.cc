@@ -4,7 +4,7 @@
 
 #include <algorithm>
 
-#include "align/candidate_finder.h"
+#include "align/candidate_source.h"
 #include "align/on_the_fly.h"
 #include "endpoint/local_endpoint.h"
 #include "endpoint/query_forms.h"
@@ -38,15 +38,20 @@ class MoviesFixture : public ::testing::Test {
     return Term::Iri("http://kb2.sofya.org/ontology/name");
   }
 
+  /// Discovery through the source `options` selects (sameAs by default).
+  StatusOr<std::vector<ScoredCandidate>> Discover(
+      const Term& r, const CandidateFinderOptions& options = {}) {
+    return MakeCandidateSource(&cand_, &ref_, &to_cand_, options)->Discover(r);
+  }
+
   SynthWorld world_;
   LocalEndpoint cand_;
   LocalEndpoint ref_;
   CrossKbTranslator to_cand_;
 };
 
-TEST_F(MoviesFixture, CandidateFinderDiscoversBothRelations) {
-  CandidateFinder finder(&cand_, &ref_, &to_cand_);
-  auto candidates = finder.FindCandidates(DirectedBy());
+TEST_F(MoviesFixture, CandidateSourceDiscoversBothRelations) {
+  auto candidates = Discover(DirectedBy());
   ASSERT_TRUE(candidates.ok());
   ASSERT_GE(candidates->size(), 2u);
   std::vector<Term> relations;
@@ -62,18 +67,15 @@ TEST_F(MoviesFixture, CandidateFinderDiscoversBothRelations) {
   EXPECT_EQ((*candidates)[0].relation, Director());
 }
 
-TEST_F(MoviesFixture, CandidateFinderLiteralRelation) {
-  CandidateFinder finder(&cand_, &ref_, &to_cand_);
-  auto candidates = finder.FindCandidates(Name());
+TEST_F(MoviesFixture, CandidateSourceLiteralRelation) {
+  auto candidates = Discover(Name());
   ASSERT_TRUE(candidates.ok());
   ASSERT_FALSE(candidates->empty());
   EXPECT_EQ((*candidates)[0].relation, Label());
 }
 
-TEST_F(MoviesFixture, CandidateFinderUnknownRelationYieldsNothing) {
-  CandidateFinder finder(&cand_, &ref_, &to_cand_);
-  auto candidates =
-      finder.FindCandidates(Term::Iri("http://kb2.sofya.org/ontology/nope"));
+TEST_F(MoviesFixture, CandidateSourceUnknownRelationYieldsNothing) {
+  auto candidates = Discover(Term::Iri("http://kb2.sofya.org/ontology/nope"));
   ASSERT_TRUE(candidates.ok());
   EXPECT_TRUE(candidates->empty());
 }
@@ -81,8 +83,7 @@ TEST_F(MoviesFixture, CandidateFinderUnknownRelationYieldsNothing) {
 TEST_F(MoviesFixture, MaxCandidatesCapRespected) {
   CandidateFinderOptions options;
   options.max_candidates = 1;
-  CandidateFinder finder(&cand_, &ref_, &to_cand_, options);
-  auto candidates = finder.FindCandidates(DirectedBy());
+  auto candidates = Discover(DirectedBy(), options);
   ASSERT_TRUE(candidates.ok());
   EXPECT_EQ(candidates->size(), 1u);
 }

@@ -1,5 +1,5 @@
 // The candidate-source layer: refactor parity (the sameAs source must be
-// candidate- and query-count-identical to the pre-refactor finder), the
+// candidate- and query-count-identical to the original finder), the
 // zero-links lexical path, the distribution profiles, the PARIS-style
 // priors, the shared lexical-index cache, and AlignMany determinism with
 // a non-default source.
@@ -13,7 +13,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "align/candidate_finder.h"
 #include "align/relation_aligner.h"
 #include "endpoint/local_endpoint.h"
 #include "endpoint/paged_select.h"
@@ -29,10 +28,10 @@ namespace sofya {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Frozen pre-refactor finder (PR 7's CandidateFinder::FindCandidates body,
-// copied verbatim). The refactor's contract is that the kSameAs source is
-// indistinguishable from this code — same candidates, same order, same
-// queries — so this copy is the regression oracle. Do not "fix" it.
+// Frozen copy of the original discovery body. The contract is that the
+// kSameAs source is indistinguishable from this code — same candidates,
+// same order, same queries — so this copy is the regression oracle. Do not
+// "fix" it.
 // ---------------------------------------------------------------------------
 StatusOr<std::vector<CandidateRelation>> LegacyFindCandidates(
     Endpoint* candidate_kb, Endpoint* reference_kb,
@@ -157,8 +156,8 @@ void ExpectSameAsParity(SynthWorld* world, const Term& r) {
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
   TrackingEndpoint new_cand(&cand), new_ref(&ref);
-  CandidateFinder finder(&new_cand, &new_ref, &to_cand, options);
-  auto refactored = finder.FindCandidates(r);
+  auto refactored =
+      MakeCandidateSource(&new_cand, &new_ref, &to_cand, options)->Discover(r);
   ASSERT_TRUE(refactored.ok()) << refactored.status().ToString();
 
   ASSERT_EQ(refactored->size(), legacy->size());
@@ -193,6 +192,16 @@ TEST(SameAsSourceParityTest, MusicAllReferenceRelations) {
 // Zero-links world: lexical + distribution + composite
 // ---------------------------------------------------------------------------
 
+/// Discovery as the aligner runs it: the selected source, then the prior
+/// fold.
+StatusOr<std::vector<CandidateRelation>> Discover(
+    CandidateSource* source, const CandidateFinderOptions& options,
+    const Term& r) {
+  SOFYA_ASSIGN_OR_RETURN(std::vector<ScoredCandidate> scored,
+                         source->Discover(r));
+  return FoldPriors(std::move(scored), options);
+}
+
 class NoLinksFixture : public ::testing::Test {
  protected:
   NoLinksFixture()
@@ -226,7 +235,7 @@ TEST_F(NoLinksFixture, LexicalRecallAtEightAboveBar) {
   CandidateFinderOptions options;
   options.source = CandidateSourceKind::kLexical;
   options.lexical_cache = std::make_shared<LexicalIndexCache>();
-  CandidateFinder finder(&cand_, &ref_, &to_cand_, options);
+  auto source = MakeCandidateSource(&cand_, &ref_, &to_cand_, options);
 
   const std::vector<std::string> refs = world_.truth.RelationsOf("canon2");
   ASSERT_EQ(refs.size(), 20u);
@@ -234,7 +243,7 @@ TEST_F(NoLinksFixture, LexicalRecallAtEightAboveBar) {
   for (const std::string& iri : refs) {
     const Term gold = GoldEquivalent(iri);
     ASSERT_FALSE(gold.lexical().empty()) << iri;
-    auto candidates = finder.FindCandidates(Term::Iri(iri));
+    auto candidates = Discover(source.get(), options, Term::Iri(iri));
     ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
     EXPECT_LE(candidates->size(), options.max_candidates);
     for (const auto& c : *candidates) {
@@ -258,11 +267,11 @@ TEST_F(NoLinksFixture, LexicalIndexCacheInvalidatesOnDataEpoch) {
   CandidateFinderOptions options;
   options.source = CandidateSourceKind::kLexical;
   options.lexical_cache = std::make_shared<LexicalIndexCache>();
-  CandidateFinder finder(&cand_, &ref_, &to_cand_, options);
+  auto source = MakeCandidateSource(&cand_, &ref_, &to_cand_, options);
 
   const Term r = Term::Iri("http://nolinks.sofya.org/ontology/birth_place");
-  ASSERT_TRUE(finder.FindCandidates(r).ok());
-  ASSERT_TRUE(finder.FindCandidates(r).ok());
+  ASSERT_TRUE(source->Discover(r).ok());
+  ASSERT_TRUE(source->Discover(r).ok());
   EXPECT_EQ(options.lexical_cache->builds(), 1u);
   EXPECT_EQ(options.lexical_cache->hits(), 1u);
 
@@ -272,7 +281,7 @@ TEST_F(NoLinksFixture, LexicalIndexCacheInvalidatesOnDataEpoch) {
   ASSERT_TRUE(world_.kb1->AddFact("entity/e0", "ontology/freshPredicate",
                                   "entity/e1"));
   EXPECT_GT(cand_.data_epoch(), epoch_before);
-  ASSERT_TRUE(finder.FindCandidates(r).ok());
+  ASSERT_TRUE(source->Discover(r).ok());
   EXPECT_EQ(options.lexical_cache->builds(), 2u);
 }
 
@@ -296,9 +305,10 @@ TEST_F(NoLinksFixture, DistributionSourceSeparatesLiteralFromEntityRange) {
   // reference keeps literal-range relations and drops entity-range ones.
   CandidateFinderOptions options;
   options.source = CandidateSourceKind::kDistribution;
-  CandidateFinder finder(&cand_, &ref_, &to_cand_, options);
-  auto candidates = finder.FindCandidates(
-      Term::Iri("http://nolinks.sofya.org/ontology/population_total"));
+  auto candidates =
+      MakeCandidateSource(&cand_, &ref_, &to_cand_, options)
+          ->Discover(
+              Term::Iri("http://nolinks.sofya.org/ontology/population_total"));
   ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
   ASSERT_FALSE(candidates->empty());
   std::vector<std::string> proposed;
@@ -317,8 +327,9 @@ TEST_F(NoLinksFixture, CompositePriorRecoversLexicalMiss) {
   // sameAs overlap + distribution agreement) with a meaningful prior.
   CandidateFinderOptions options;
   options.source = CandidateSourceKind::kAuto;
-  CandidateFinder finder(&cand_, &ref_, &to_cand_, options);
-  auto candidates = finder.FindCandidates(
+  auto source = MakeCandidateSource(&cand_, &ref_, &to_cand_, options);
+  auto candidates = Discover(
+      source.get(), options,
       Term::Iri("http://nolinks.sofya.org/ontology/written_by"));
   ASSERT_TRUE(candidates.ok()) << candidates.status().ToString();
   const Term gold = Term::Iri("http://nolinks.sofya.org/ontology/hasAuthor");
@@ -353,26 +364,31 @@ std::string FingerprintAlignMany(const AlignManyResult& result) {
   return out.str();
 }
 
-TEST_F(NoLinksFixture, LexicalAlignManyBitIdenticalAcrossThreadsAndSchedules) {
+TEST_F(NoLinksFixture, LexicalAlignManyBitIdenticalToSequentialAlign) {
   AlignerOptions options;
   options.finder.source = CandidateSourceKind::kLexical;
-  RelationAligner aligner(&cand_, &ref_, &world_.links, options);
+  options.finder.lexical_cache = std::make_shared<LexicalIndexCache>();
 
   std::vector<Term> refs;
   for (const std::string& iri : world_.truth.RelationsOf("canon2")) {
     refs.push_back(Term::Iri(iri));
   }
 
-  AlignManyOptions base;
-  base.num_threads = 1;
-  base.schedule = AlignSchedule::kPhase;
-  auto baseline = aligner.AlignMany(refs, base);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const std::string expected = FingerprintAlignMany(*baseline);
+  // The reference: sequential Align of each relation over its own private
+  // TrackingEndpoints, the attribution regime AlignMany documents.
+  AlignManyResult sequential;
+  for (const Term& r : refs) {
+    TrackingEndpoint cand_view(&cand_), ref_view(&ref_);
+    RelationAligner aligner(&cand_view, &ref_view, &world_.links, options);
+    auto result = aligner.Align(r);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    sequential.results.push_back(std::move(*result));
+  }
+  const std::string expected = FingerprintAlignMany(sequential);
 
   // The zero-links world aligns end to end without a single sameAs link.
   size_t accepted = 0;
-  for (const auto& r : baseline->results) {
+  for (const auto& r : sequential.results) {
     for (const auto& v : r.verdicts) {
       if (v.accepted) ++accepted;
       EXPECT_GE(v.prior, 0.0);
@@ -381,20 +397,16 @@ TEST_F(NoLinksFixture, LexicalAlignManyBitIdenticalAcrossThreadsAndSchedules) {
   }
   EXPECT_GE(accepted, 15u);
 
-  for (const AlignSchedule schedule :
-       {AlignSchedule::kPhase, AlignSchedule::kRelation}) {
-    for (const size_t threads : {size_t{2}, size_t{8}}) {
-      AlignManyOptions many;
-      many.num_threads = threads;
-      many.schedule = schedule;
-      auto run = aligner.AlignMany(refs, many);
-      ASSERT_TRUE(run.ok()) << run.status().ToString();
-      EXPECT_EQ(FingerprintAlignMany(*run), expected)
-          << "threads=" << threads
-          << " schedule=" << (schedule == AlignSchedule::kPhase ? "phase"
-                                                                : "relation");
-    }
+  RelationAligner aligner(&cand_, &ref_, &world_.links, options);
+  std::vector<size_t> tasks;
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    auto run = aligner.AlignMany(refs, threads);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(FingerprintAlignMany(*run), expected) << "threads=" << threads;
+    tasks.push_back(run->subtasks_scheduled);
   }
+  EXPECT_GT(tasks.front(), refs.size());
+  EXPECT_EQ(tasks.front(), tasks.back());
 }
 
 TEST(CandidateSourceKindTest, ParseAndNameRoundTrip) {

@@ -23,6 +23,7 @@
 #include "endpoint/local_endpoint.h"
 #include "endpoint/query_forms.h"
 #include "endpoint/throttled_endpoint.h"
+#include "endpoint/tracking_endpoint.h"
 #include "rdf/knowledge_base.h"
 #include "synth/presets.h"
 #include "synth/world_generator.h"
@@ -282,45 +283,51 @@ TEST(AlignManyDeterminismTest, IdenticalToSequentialForAnyThreadCount) {
   }
 }
 
-TEST(AlignManyDeterminismTest, PhaseAndRelationSchedulesAgreeBitForBit) {
-  // Both schedulers must produce the sequential verdicts AND the sequential
-  // per-relation query counts — the phase decomposition changes only who
-  // runs which piece of work, never the work itself.
+TEST(AlignManyDeterminismTest, MatchesTrackedSequentialAlignBitForBit) {
+  // The reference: sequential Align of each relation over its own private
+  // TrackingEndpoints — the attribution regime AlignMany documents. The
+  // phase decomposition changes only who runs which piece of work, never
+  // the work itself, so verdicts AND per-relation query counts must match
+  // at any thread count.
   auto world =
       std::move(GenerateWorld(YagoDbpediaSpec(101, /*scale=*/0.03))).value();
   const std::vector<Term> relations = WorkloadRelations(world, 8);
   ASSERT_GE(relations.size(), 3u);
 
-  auto run = [&](AlignSchedule schedule, size_t threads) {
-    LocalEndpoint cand(world.kb1.get());
-    LocalEndpoint ref(world.kb2.get());
+  auto fingerprint = [](const AlignmentResult& result) {
+    return VerdictFingerprint(result) + "|" +
+           std::to_string(result.candidate_queries) + "|" +
+           std::to_string(result.reference_queries);
+  };
+  LocalEndpoint cand(world.kb1.get());
+  LocalEndpoint ref(world.kb2.get());
+  std::vector<std::string> expected;
+  for (const Term& r : relations) {
+    TrackingEndpoint cand_view(&cand);
+    TrackingEndpoint ref_view(&ref);
+    RelationAligner aligner(&cand_view, &ref_view, &world.links);
+    auto result = aligner.Align(r);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    expected.push_back(fingerprint(*result));
+  }
+
+  std::vector<size_t> tasks;
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     RelationAligner aligner(&cand, &ref, &world.links);
-    AlignManyOptions options;
-    options.num_threads = threads;
-    options.schedule = schedule;
-    auto fleet = aligner.AlignMany(relations, options);
-    EXPECT_TRUE(fleet.ok()) << fleet.status().ToString();
+    auto fleet = aligner.AlignMany(relations, threads);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
     std::vector<std::string> fingerprints;
     for (const auto& result : fleet->results) {
-      fingerprints.push_back(VerdictFingerprint(result) + "|" +
-                             std::to_string(result.candidate_queries) + "|" +
-                             std::to_string(result.reference_queries));
+      fingerprints.push_back(fingerprint(result));
     }
-    return std::make_pair(fingerprints, fleet->subtasks_scheduled);
-  };
-
-  const auto [relation_fp, relation_tasks] =
-      run(AlignSchedule::kRelation, 4);
-  const auto [phase_fp_1, phase_tasks_1] = run(AlignSchedule::kPhase, 1);
-  const auto [phase_fp_8, phase_tasks_8] = run(AlignSchedule::kPhase, 8);
-  EXPECT_EQ(phase_fp_1, relation_fp);
-  EXPECT_EQ(phase_fp_8, relation_fp);
-  // The phase scheduler really decomposed: strictly more tasks than
-  // relations (discovery + per-candidate + UBS + reverse), and the task
-  // breakdown itself is deterministic.
-  EXPECT_EQ(relation_tasks, relations.size());
-  EXPECT_GT(phase_tasks_1, relations.size());
-  EXPECT_EQ(phase_tasks_1, phase_tasks_8);
+    EXPECT_EQ(fingerprints, expected) << "threads=" << threads;
+    tasks.push_back(fleet->subtasks_scheduled);
+  }
+  // AlignMany really decomposed: strictly more tasks than relations
+  // (discovery + per-candidate + UBS + reverse), and the task breakdown
+  // itself is deterministic.
+  EXPECT_GT(tasks.front(), relations.size());
+  EXPECT_EQ(tasks.front(), tasks.back());
 }
 
 TEST(AlignManyDeterminismTest, SharedCacheKeepsVerdictsIdentical) {

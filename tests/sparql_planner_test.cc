@@ -2,8 +2,8 @@
 // engine's epoch-keyed plan cache, and the two invariants the rest of the
 // system leans on —
 //
-//   1. parity: the statistics planner and the legacy heuristic produce the
-//      same result *sets* (bags) for any query, on randomized corpora;
+//   1. parity: DP, greedy and adaptive plans produce the brute-force
+//      oracle's result bags for any query, on randomized corpora;
 //   2. pagination determinism: under a fixed plan, LIMIT/OFFSET walks are
 //      disjoint, exhaustive, and identical to the unwindowed enumeration —
 //      across pages, engine instances, and plan-cache states.
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -20,16 +19,11 @@
 #include "sparql/engine.h"
 #include "sparql/planner.h"
 #include "sparql/query.h"
+#include "sparql_oracle.h"
 #include "util/random.h"
 
 namespace sofya {
 namespace {
-
-using Row = std::vector<TermId>;
-
-std::multiset<Row> AsBag(const std::vector<Row>& rows) {
-  return {rows.begin(), rows.end()};
-}
 
 /// Fixture with one fat predicate and one thin one over shared subjects.
 class PlannerTest : public ::testing::Test {
@@ -64,26 +58,15 @@ class PlannerTest : public ::testing::Test {
 
 TEST_F(PlannerTest, StatsPlannerPutsSelectiveClauseFirst) {
   const SelectQuery q = FatFirstJoin();
-  const CompiledPlan plan = CompilePlan(q, &store_);
+  const CompiledPlan plan = CompilePlan(q, store_);
   ASSERT_EQ(plan.clauses.size(), 2u);
-  EXPECT_TRUE(plan.used_statistics);
+  EXPECT_TRUE(plan.used_dp);
   EXPECT_EQ(plan.clauses[0].source_index, 1u);  // cold (2 facts) first.
   EXPECT_EQ(plan.clauses[1].source_index, 0u);
   // First clause estimates its predicate cardinality; the second is scanned
   // with ?x bound, so the estimate divides by distinct subjects.
   EXPECT_DOUBLE_EQ(plan.clauses[0].estimated_rows, 2.0);
   EXPECT_NEAR(plan.clauses[1].estimated_rows, 1.0, 0.01);
-}
-
-TEST_F(PlannerTest, LegacyPlannerKeepsSourceOrderOnTies) {
-  PlannerOptions legacy;
-  legacy.use_statistics = false;
-  const CompiledPlan plan = CompilePlan(FatFirstJoin(), &store_, legacy);
-  ASSERT_EQ(plan.clauses.size(), 2u);
-  EXPECT_FALSE(plan.used_statistics);
-  EXPECT_EQ(plan.clauses[0].source_index, 0u);  // Both score 3: first wins.
-  EXPECT_EQ(plan.clauses[1].source_index, 1u);
-  EXPECT_EQ(plan.clauses[0].estimated_rows, -1.0);  // No estimates.
 }
 
 TEST_F(PlannerTest, AbsentPredicateShortCircuitsToFront) {
@@ -95,7 +78,7 @@ TEST_F(PlannerTest, AbsentPredicateShortCircuitsToFront) {
           NodeRef::Variable(y));
   q.Where(NodeRef::Variable(x), NodeRef::Constant(dict_.InternIri("absent")),
           NodeRef::Variable(z));
-  const CompiledPlan plan = CompilePlan(q, &store_);
+  const CompiledPlan plan = CompilePlan(q, store_);
   ASSERT_EQ(plan.clauses.size(), 2u);
   // The provably-empty clause runs first: the pipeline drains on its first
   // probe without ever scanning the 100-fact clause.
@@ -127,8 +110,8 @@ TEST_F(PlannerTest, CrossProductDeferredBehindConnectedClauses) {
   // cross products through cardinality instead and may prefer a different
   // connected order; parity is covered by the v2 planner tests).
   PlannerOptions greedy;
-  greedy.use_dp = false;
-  const CompiledPlan plan = CompilePlan(q, &store_, greedy);
+  greedy.dp_max_clauses = 0;
+  const CompiledPlan plan = CompilePlan(q, store_, greedy);
   ASSERT_EQ(plan.clauses.size(), 3u);
   // cold (2 facts, cheapest) opens and binds {c, d}. Of the rest, mid
   // shares ?d (a join) while hot shares nothing (a cross product): mid must
@@ -146,7 +129,7 @@ TEST_F(PlannerTest, ExplainReportsOrderEstimatesAndFilters) {
   Engine engine(&store_, &dict_);
   auto explain = engine.Explain(q);
   ASSERT_TRUE(explain.ok());
-  EXPECT_TRUE(explain->used_statistics);
+  EXPECT_TRUE(explain->used_dp);
   EXPECT_FALSE(explain->from_cache);
   ASSERT_EQ(explain->clauses.size(), 2u);
   EXPECT_EQ(explain->clauses[0].source_index, 1u);
@@ -294,19 +277,18 @@ SelectQuery RandomQuery(Rng& rng) {
 
 class PlannerProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PlannerProperty, StatsAndLegacyPlannersAgreeOnResultSets) {
+TEST_P(PlannerProperty, PlannersMatchOracleOnResultSets) {
   Rng rng(GetParam());
-  PlannerOptions legacy;
-  legacy.use_statistics = false;
   for (int round = 0; round < 30; ++round) {
     TripleStore store = RandomStore(rng, 1 + rng.Below(20));
     const SelectQuery q = RandomQuery(rng);
-    auto with_stats = Evaluate(store, q);
-    auto with_legacy = Evaluate(store, q, nullptr, nullptr, legacy);
-    ASSERT_TRUE(with_stats.ok());
-    ASSERT_TRUE(with_legacy.ok());
-    EXPECT_EQ(AsBag(with_stats->rows), AsBag(with_legacy->rows))
-        << "seed=" << GetParam() << " round=" << round;
+    const auto expected = AsBag(BruteForce(store, q).rows);
+    for (const auto& [arm, options] : PlannerArms()) {
+      auto planned = Engine(&store, nullptr, options).Select(q);
+      ASSERT_TRUE(planned.ok());
+      EXPECT_EQ(AsBag(planned->rows), expected)
+          << "seed=" << GetParam() << " round=" << round << " arm=" << arm;
+    }
   }
 }
 
@@ -352,7 +334,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PlannerProperty,
 // ---------------------------------------------------------------------------
 // The endpoint-level surface.
 
-TEST(LocalEndpointPlannerTest, ExplainAndLegacyOptionThread) {
+TEST(LocalEndpointPlannerTest, ExplainAndPlannerOptionThread) {
   KnowledgeBase kb("kb", "http://kb.org/");
   for (int i = 0; i < 40; ++i) {
     kb.AddFact("s" + std::to_string(i), "big", "o" + std::to_string(i));
@@ -370,23 +352,23 @@ TEST(LocalEndpointPlannerTest, ExplainAndLegacyOptionThread) {
           NodeRef::Constant(kb.dict().LookupIri("http://kb.org/small")),
           NodeRef::Variable(z));
 
-  LocalEndpoint with_stats(&kb);
-  auto explain = with_stats.Explain(q);
+  LocalEndpoint dp(&kb);
+  auto explain = dp.Explain(q);
   ASSERT_TRUE(explain.ok());
-  EXPECT_TRUE(explain->used_statistics);
+  EXPECT_TRUE(explain->used_dp);
   EXPECT_EQ(explain->clauses[0].source_index, 1u);
 
   LocalEndpointOptions options;
-  options.engine.planner.use_statistics = false;
-  LocalEndpoint legacy(&kb, options);
-  auto legacy_explain = legacy.Explain(q);
-  ASSERT_TRUE(legacy_explain.ok());
-  EXPECT_FALSE(legacy_explain->used_statistics);
-  EXPECT_EQ(legacy_explain->clauses[0].source_index, 0u);
+  options.engine.planner.dp_max_clauses = 0;
+  LocalEndpoint greedy(&kb, options);
+  auto greedy_explain = greedy.Explain(q);
+  ASSERT_TRUE(greedy_explain.ok());
+  EXPECT_FALSE(greedy_explain->used_dp);
+  EXPECT_EQ(greedy_explain->clauses[0].source_index, 1u);
 
   // Same answers either way.
-  auto a = with_stats.Select(q);
-  auto b = legacy.Select(q);
+  auto a = dp.Select(q);
+  auto b = greedy.Select(q);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(AsBag(a->rows), AsBag(b->rows));

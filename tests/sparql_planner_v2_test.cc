@@ -7,15 +7,15 @@
 //      planner's myopic min-next-step choice (the motivating trap);
 //   2. exact-probe estimates: a constant-prefix clause's estimated_rows is
 //      the store's true match count, not a facts/distinct approximation;
-//   3. DP/greedy/legacy produce identical result bags on randomized corpora
-//      across shard geometries (hash-ring sizes, promotion on/off);
+//   3. DP, greedy and adaptive plans produce the brute-force oracle's
+//      result bags on randomized corpora across shard geometries (hash-ring
+//      sizes, promotion on/off);
 //   4. histograms are epoch-memoized exactly like StatsFor: repeated reads
 //      are free, a write to the predicate's shard invalidates, an untouched
 //      promoted predicate keeps its memo.
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 #include <vector>
 
@@ -23,16 +23,11 @@
 #include "sparql/engine.h"
 #include "sparql/planner.h"
 #include "sparql/query.h"
+#include "sparql_oracle.h"
 #include "util/random.h"
 
 namespace sofya {
 namespace {
-
-using Row = std::vector<TermId>;
-
-std::multiset<Row> AsBag(const std::vector<Row>& rows) {
-  return {rows.begin(), rows.end()};
-}
 
 // ---------------------------------------------------------------------------
 // The greedy trap: a chain where the smallest-base clause is the worst
@@ -84,15 +79,14 @@ class GreedyTrapTest : public ::testing::Test {
 
 TEST_F(GreedyTrapTest, DpStartsAtTheGloballySelectiveEnd) {
   const SelectQuery q = Chain();
-  const CompiledPlan dp = CompilePlan(q, &store_);
+  const CompiledPlan dp = CompilePlan(q, store_);
   ASSERT_EQ(dp.clauses.size(), 3u);
-  EXPECT_TRUE(dp.used_statistics);
   EXPECT_TRUE(dp.used_dp);
   EXPECT_EQ(dp.clauses[0].source_index, 2u);  // pY first, despite base 5 > 2.
 
   PlannerOptions greedy_opts;
-  greedy_opts.use_dp = false;
-  const CompiledPlan greedy = CompilePlan(q, &store_, greedy_opts);
+  greedy_opts.dp_max_clauses = 0;
+  const CompiledPlan greedy = CompilePlan(q, store_, greedy_opts);
   ASSERT_EQ(greedy.clauses.size(), 3u);
   EXPECT_FALSE(greedy.used_dp);
   EXPECT_EQ(greedy.clauses[0].source_index, 0u);  // Min base: pX.
@@ -106,7 +100,7 @@ TEST_F(GreedyTrapTest, DpPlanDoesStrictlyLessWorkAndAgreesOnRows) {
   const SelectQuery q = Chain();
   EvalStats dp_stats, greedy_stats;
   PlannerOptions greedy_opts;
-  greedy_opts.use_dp = false;
+  greedy_opts.dp_max_clauses = 0;
   auto dp_rows = Evaluate(store_, q, &dp_stats);
   auto greedy_rows = Evaluate(store_, q, &greedy_stats, nullptr, greedy_opts);
   ASSERT_TRUE(dp_rows.ok());
@@ -120,8 +114,7 @@ TEST_F(GreedyTrapTest, DpPlanDoesStrictlyLessWorkAndAgreesOnRows) {
 TEST_F(GreedyTrapTest, DpFallsBackToGreedyAboveClauseBudget) {
   PlannerOptions tight;
   tight.dp_max_clauses = 2;  // 3-clause query exceeds the DP budget.
-  const CompiledPlan plan = CompilePlan(Chain(), &store_, tight);
-  EXPECT_TRUE(plan.used_statistics);
+  const CompiledPlan plan = CompilePlan(Chain(), store_, tight);
   EXPECT_FALSE(plan.used_dp);
 }
 
@@ -139,7 +132,7 @@ TEST(ExactProbeTest, ConstantPrefixEstimateIsTheTrueMatchCount) {
   SelectQuery q;
   const VarId y = q.NewVar("y");
   q.Where(NodeRef::Constant(500), NodeRef::Constant(p), NodeRef::Variable(y));
-  const CompiledPlan plan = CompilePlan(q, &store);
+  const CompiledPlan plan = CompilePlan(q, store);
   ASSERT_EQ(plan.clauses.size(), 1u);
   EXPECT_DOUBLE_EQ(plan.clauses[0].estimated_rows, 7.0);
   EXPECT_DOUBLE_EQ(plan.clauses[0].estimated_output_rows, 7.0);
@@ -148,7 +141,7 @@ TEST(ExactProbeTest, ConstantPrefixEstimateIsTheTrueMatchCount) {
   SelectQuery q2;
   const VarId x = q2.NewVar("x");
   q2.Where(NodeRef::Variable(x), NodeRef::Constant(p), NodeRef::Constant(600));
-  const CompiledPlan plan2 = CompilePlan(q2, &store);
+  const CompiledPlan plan2 = CompilePlan(q2, store);
   ASSERT_EQ(plan2.clauses.size(), 1u);
   EXPECT_DOUBLE_EQ(plan2.clauses[0].estimated_rows, 2.0);
 }
@@ -198,16 +191,12 @@ SelectQuery RandomQuery(Rng& rng) {
 
 class PlannerV2Property : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PlannerV2Property, DpGreedyAndLegacyAgreeAcrossShardGeometries) {
+TEST_P(PlannerV2Property, PlannersMatchOracleAcrossShardGeometries) {
   // Geometries: single-shard, small ring, default ring; with and without
   // predicate promotion (threshold 64 promotes the fat predicate once the
   // corpus is big enough, so both layouts get exercised).
   const size_t rings[] = {1, 2, 8};
   const size_t promote[] = {0, 64};
-  PlannerOptions greedy_opts;
-  greedy_opts.use_dp = false;
-  PlannerOptions legacy_opts;
-  legacy_opts.use_statistics = false;
 
   Rng rng(GetParam());
   for (size_t ring : rings) {
@@ -219,19 +208,15 @@ TEST_P(PlannerV2Property, DpGreedyAndLegacyAgreeAcrossShardGeometries) {
       for (int round = 0; round < 8; ++round) {
         TripleStore store = RandomStore(rng, 1 + rng.Below(20), geometry);
         const SelectQuery q = RandomQuery(rng);
-        auto dp = Evaluate(store, q);
-        auto greedy = Evaluate(store, q, nullptr, nullptr, greedy_opts);
-        auto legacy = Evaluate(store, q, nullptr, nullptr, legacy_opts);
-        ASSERT_TRUE(dp.ok());
-        ASSERT_TRUE(greedy.ok());
-        ASSERT_TRUE(legacy.ok());
-        const auto bag = AsBag(dp->rows);
-        EXPECT_EQ(bag, AsBag(greedy->rows))
-            << "seed=" << GetParam() << " ring=" << ring
-            << " promote=" << threshold << " round=" << round;
-        EXPECT_EQ(bag, AsBag(legacy->rows))
-            << "seed=" << GetParam() << " ring=" << ring
-            << " promote=" << threshold << " round=" << round;
+        const auto expected = AsBag(BruteForce(store, q).rows);
+        for (const auto& [arm, options] : PlannerArms()) {
+          auto planned = Engine(&store, nullptr, options).Select(q);
+          ASSERT_TRUE(planned.ok());
+          EXPECT_EQ(AsBag(planned->rows), expected)
+              << "seed=" << GetParam() << " ring=" << ring
+              << " promote=" << threshold << " round=" << round
+              << " arm=" << arm;
+        }
       }
     }
   }

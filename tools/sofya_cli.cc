@@ -40,30 +40,32 @@
 //       client-side retry stack (query --endpoint-url, align against a
 //       URL) backs off on and recovers from.
 //
-//   sofya explain --kb F --sparql 'SELECT ...' [--legacy-planner]
-//                 [--greedy-planner] [--adaptive] [--execute] [--json]
+//   sofya explain --kb F --sparql 'SELECT ...' [--adaptive] [--execute]
+//                 [--json]
 //       Show the join-order plan the engine would run the query with:
 //       chosen clause order, per-clause cardinality estimates (per-stage
-//       fan-out and cumulative), attached filters. --legacy-planner shows
-//       the bound-position heuristic's order, --greedy-planner the v1
-//       greedy min-cost order (both A/B baselines for the default
-//       Selinger-style DP); --execute also runs the query and merges the
-//       observed per-clause row counts into the table (estimated-vs-actual)
-//       plus the evaluation metering; --adaptive enables mid-execution
-//       re-planning during --execute (re-plan count reported); --json
-//       emits the whole report as one machine-readable JSON object.
+//       fan-out and cumulative), attached filters. --execute also runs the
+//       query and merges the observed per-clause row counts into the table
+//       (estimated-vs-actual) plus the evaluation metering; --adaptive
+//       enables mid-execution re-planning during --execute (re-plan count
+//       reported); --json emits the whole report as one machine-readable
+//       JSON object.
 //
-//   --legacy-planner is also accepted by align and query (local datasets):
-//   it switches the in-process engines to the legacy clause ordering;
-//   query also takes --greedy-planner / --adaptive.
+//   Each subcommand accepts only the flags listed for it: an unknown flag,
+//   a stray argument or a malformed number prints the usage text and exits
+//   with code 2.
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,11 +86,10 @@ int Usage() {
                "  sofya generate --preset tiny|movies|music|nolinks|"
                "yago-dbpedia --out DIR [--seed N] [--scale S] [--inverses]\n"
                "  sofya align --kb1 FILE|URL --kb2 FILE|URL --links FILE "
-               "--relation IRI[,IRI...]|all [--threads N] "
-               "[--schedule phase|relation] [--tau T] "
+               "--relation IRI[,IRI...]|all [--threads N] [--tau T] "
                "[--measure pca|cwa] [--no-ubs] [--sample N] [--seed N] "
                "[--candidate-source sameas|lexical|distribution|auto] "
-               "[--base1 IRI] [--base2 IRI] [--legacy-planner]\n"
+               "[--base1 IRI] [--base2 IRI]\n"
                "  sofya record ...align flags... --cassette-dir DIR\n"
                "      (align + capture every endpoint interaction into "
                "DIR/kb1.cass, DIR/kb2.cass, DIR/run.manifest)\n"
@@ -99,15 +100,13 @@ int Usage() {
                "dataset; strict mode fails on unrecorded queries)\n"
                "  sofya manifest diff A.manifest B.manifest\n"
                "  sofya query (--kb FILE | --endpoint-url URL) "
-               "--sparql 'SELECT ...' [--legacy-planner] [--greedy-planner] "
-               "[--adaptive] [--scan-threads N]\n"
+               "--sparql 'SELECT ...' [--adaptive] [--scan-threads N]\n"
                "  sofya serve --kb FILE [--port N] [--address A] "
                "[--path /sparql] [--scan-threads N] [--workers N] "
                "[--max-concurrent N] [--per-client-concurrent N] "
                "[--quota N] [--retry-after-s S] [--port-file FILE]\n"
                "  sofya explain --kb FILE --sparql 'SELECT ...' "
-               "[--legacy-planner] [--greedy-planner] [--adaptive] "
-               "[--execute] [--json]\n"
+               "[--adaptive] [--execute] [--json]\n"
                "  sofya snapshot save --kb FILE --out FILE.snap\n"
                "  sofya snapshot load --kb FILE.snap\n"
                "(--kb accepts N-Triples or .snap snapshots everywhere; "
@@ -115,21 +114,79 @@ int Usage() {
   return 2;
 }
 
-/// Minimal flag parser: --key value and boolean --key.
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int start) {
-  std::map<std::string, std::string> flags;
+/// How a flag is given: a bare switch, or followed by a text, a
+/// non-negative integer or a real value.
+enum class FlagKind { kSwitch, kText, kCount, kReal };
+/// The flags one subcommand accepts.
+using FlagSpec = std::map<std::string, FlagKind>;
+using Flags = std::map<std::string, std::string>;
+
+/// Parses a whole non-negative integer; nullopt on anything else.
+std::optional<uint64_t> ParseCount(const std::string& text) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// Parses a whole finite real number; nullopt on anything else.
+std::optional<double> ParseReal(const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Parses argv[start..] against `spec`: --key value for valued flags, bare
+/// --key for switches. Returns nullopt (after naming the culprit) on an
+/// unknown flag, a stray argument, a missing value or a malformed number.
+std::optional<Flags> ParseFlags(int argc, char** argv, int start,
+                                const FlagSpec& spec) {
+  Flags flags;
   for (int i = start; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    arg = arg.substr(2);
-    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      flags[arg] = argv[++i];
-    } else {
-      flags[arg] = "true";
+    const std::string arg = argv[i];
+    const auto it =
+        arg.rfind("--", 0) == 0 ? spec.find(arg.substr(2)) : spec.end();
+    if (it == spec.end()) {
+      std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
+      return std::nullopt;
     }
+    if (it->second == FlagKind::kSwitch) {
+      flags[it->first] = "true";
+      continue;
+    }
+    if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+      return std::nullopt;
+    }
+    const std::string value = argv[++i];
+    if ((it->second == FlagKind::kCount && !ParseCount(value)) ||
+        (it->second == FlagKind::kReal && !ParseReal(value))) {
+      std::fprintf(stderr, "%s: '%s' is not a valid %s\n", arg.c_str(),
+                   value.c_str(),
+                   it->second == FlagKind::kCount ? "count" : "number");
+      return std::nullopt;
+    }
+    flags[it->first] = value;
   }
   return flags;
+}
+
+/// Value of a kCount flag (validated by ParseFlags), or `fallback`.
+uint64_t CountFlag(const Flags& flags, const std::string& name,
+                   uint64_t fallback) {
+  const auto it = flags.find(name);
+  return it == flags.end() ? fallback : *ParseCount(it->second);
+}
+
+/// Value of a kReal flag (validated by ParseFlags), or `fallback`.
+double RealFlag(const Flags& flags, const std::string& name,
+                double fallback) {
+  const auto it = flags.find(name);
+  return it == flags.end() ? fallback : *ParseReal(it->second);
 }
 
 /// Loads a dataset into `kb`, auto-detecting the format: snapshot files
@@ -183,14 +240,12 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
-int Generate(const std::map<std::string, std::string>& flags) {
+int Generate(const Flags& flags) {
   const std::string preset =
       flags.count("preset") ? flags.at("preset") : "movies";
   const std::string out_dir = flags.count("out") ? flags.at("out") : ".";
-  const uint64_t seed =
-      flags.count("seed") ? std::stoull(flags.at("seed")) : 7;
-  const double scale =
-      flags.count("scale") ? std::stod(flags.at("scale")) : 0.25;
+  const uint64_t seed = CountFlag(flags, "seed", 7);
+  const double scale = RealFlag(flags, "scale", 0.25);
 
   WorldSpec spec;
   if (preset == "tiny") {
@@ -353,8 +408,7 @@ enum class RunMode { kAlign, kRecord, kReplay };
 /// endpoints for the mode (live, recording-wrapped, or cassette-replaying),
 /// aligns, prints verdicts + cost, and handles the cassette/manifest
 /// artifacts afterwards.
-int RunAlignment(const std::map<std::string, std::string>& flags,
-                 RunMode mode) {
+int RunAlignment(const Flags& flags, RunMode mode) {
   const bool record = mode == RunMode::kRecord;
   const bool replay = mode == RunMode::kReplay;
   const bool lenient = replay && flags.count("lenient");
@@ -373,6 +427,32 @@ int RunAlignment(const std::map<std::string, std::string>& flags,
     }
     return Usage();
   }
+
+  // Alignment options first: a bad value fails before any dataset loads.
+  SofyaOptions options;
+  options.aligner.threshold =
+      RealFlag(flags, "tau", options.aligner.threshold);
+  if (flags.count("measure")) {
+    const std::string& measure = flags.at("measure");
+    if (measure != "pca" && measure != "cwa") {
+      std::fprintf(stderr, "unknown --measure '%s' (pca|cwa)\n",
+                   measure.c_str());
+      return Usage();
+    }
+    if (measure == "cwa") options.aligner.measure = ConfidenceMeasure::kCwa;
+  }
+  if (flags.count("no-ubs")) options.aligner.use_ubs = false;
+  options.aligner.sampler.sample_size =
+      CountFlag(flags, "sample", options.aligner.sampler.sample_size);
+  if (flags.count("candidate-source")) {
+    auto kind = ParseCandidateSourceKind(flags.at("candidate-source"));
+    if (!kind.ok()) {
+      std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
+      return 2;
+    }
+    options.aligner.finder.source = *kind;
+  }
+  ApplyRunSeed(&options.aligner, CountFlag(flags, "seed", 0));
 
   SameAsIndex links;
   if (Status st = LoadLinks(flags.at("links"), &links); !st.ok()) {
@@ -444,30 +524,6 @@ int RunAlignment(const std::map<std::string, std::string>& flags,
     kb2_endpoint = std::move(live2);
   }
 
-  SofyaOptions options;
-  if (flags.count("legacy-planner")) options.planner.use_statistics = false;
-  if (flags.count("tau")) {
-    options.aligner.threshold = std::stod(flags.at("tau"));
-  }
-  if (flags.count("measure") && flags.at("measure") == "cwa") {
-    options.aligner.measure = ConfidenceMeasure::kCwa;
-  }
-  if (flags.count("no-ubs")) options.aligner.use_ubs = false;
-  if (flags.count("sample")) {
-    options.aligner.sampler.sample_size = std::stoul(flags.at("sample"));
-  }
-  if (flags.count("candidate-source")) {
-    auto kind = ParseCandidateSourceKind(flags.at("candidate-source"));
-    if (!kind.ok()) {
-      std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-      return 2;
-    }
-    options.aligner.finder.source = *kind;
-  }
-  if (flags.count("seed")) {
-    ApplyRunSeed(&options.aligner, std::stoull(flags.at("seed")));
-  }
-
   Sofya sofya(std::move(kb1_endpoint), std::move(kb2_endpoint), &links,
               options);
   if (record) sofya.AttachJournals(recorder1, recorder2);
@@ -494,24 +550,10 @@ int RunAlignment(const std::map<std::string, std::string>& flags,
     std::fprintf(stderr, "no relations to align\n");
     return 2;
   }
-  const size_t threads =
-      flags.count("threads") ? std::stoul(flags.at("threads")) : 1;
-  // Phase-decomposed scheduling is the default; "relation" keeps the
-  // one-task-per-relation fan-out (mainly for scheduler comparisons).
-  AlignSchedule schedule = AlignSchedule::kPhase;
-  if (flags.count("schedule")) {
-    const std::string& name = flags.at("schedule");
-    if (name == "relation") {
-      schedule = AlignSchedule::kRelation;
-    } else if (name != "phase") {
-      std::fprintf(stderr, "unknown --schedule '%s' (phase|relation)\n",
-                   name.c_str());
-      return 2;
-    }
-  }
+  const size_t threads = CountFlag(flags, "threads", 1);
 
   WallTimer timer;
-  auto results = sofya.AlignAll(relations, threads, schedule);
+  auto results = sofya.AlignAll(relations, threads);
   if (!results.ok()) {
     std::fprintf(stderr, "alignment failed: %s\n",
                  results.status().ToString().c_str());
@@ -631,7 +673,7 @@ int RunAlignment(const std::map<std::string, std::string>& flags,
   return 0;
 }
 
-int Align(const std::map<std::string, std::string>& flags) {
+int Align(const Flags& flags) {
   return RunAlignment(flags, RunMode::kAlign);
 }
 
@@ -666,7 +708,7 @@ int ManifestDiff(const std::string& a_path, const std::string& b_path) {
   return 0;
 }
 
-int Query(const std::map<std::string, std::string>& flags) {
+int Query(const Flags& flags) {
   if ((!flags.count("kb") && !flags.count("endpoint-url")) ||
       !flags.count("sparql")) {
     return Usage();
@@ -700,19 +742,11 @@ int Query(const std::map<std::string, std::string>& flags) {
       return 1;
     }
     LocalEndpointOptions local_options;
-    if (flags.count("legacy-planner")) {
-      local_options.engine.planner.use_statistics = false;
-    }
-    if (flags.count("greedy-planner")) {
-      local_options.engine.planner.use_dp = false;
-    }
     if (flags.count("adaptive")) local_options.engine.adaptive = true;
-    if (flags.count("scan-threads")) {
-      const size_t n = std::stoul(flags.at("scan-threads"));
-      if (n > 1) {
-        scan_pool = std::make_unique<ThreadPool>(n);
-        local_options.engine.scan_pool = scan_pool.get();
-      }
+    const size_t scan_threads = CountFlag(flags, "scan-threads", 1);
+    if (scan_threads > 1) {
+      scan_pool = std::make_unique<ThreadPool>(scan_threads);
+      local_options.engine.scan_pool = scan_pool.get();
     }
     local = std::make_unique<LocalEndpoint>(&kb, local_options);
     endpoint = local.get();
@@ -744,7 +778,7 @@ int Query(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Explain(const std::map<std::string, std::string>& flags) {
+int Explain(const Flags& flags) {
   if (!flags.count("kb") || !flags.count("sparql")) return Usage();
 
   KnowledgeBase kb("kb", "");
@@ -753,10 +787,6 @@ int Explain(const std::map<std::string, std::string>& flags) {
     return 1;
   }
   LocalEndpointOptions options;
-  if (flags.count("legacy-planner")) {
-    options.engine.planner.use_statistics = false;
-  }
-  if (flags.count("greedy-planner")) options.engine.planner.use_dp = false;
   if (flags.count("adaptive")) options.engine.adaptive = true;
   LocalEndpoint endpoint(&kb, options);
 
@@ -832,8 +862,9 @@ int Explain(const std::map<std::string, std::string>& flags) {
 volatile std::sig_atomic_t g_stop_requested = 0;
 void HandleStopSignal(int) { g_stop_requested = 1; }
 
-int Serve(const std::map<std::string, std::string>& flags) {
-  if (!flags.count("kb")) return Usage();
+int Serve(const Flags& flags) {
+  const uint64_t port = CountFlag(flags, "port", 0);
+  if (!flags.count("kb") || port > 65535) return Usage();
   KnowledgeBase kb("kb", "");
   if (Status st = LoadKb(flags.at("kb"), &kb); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -842,35 +873,23 @@ int Serve(const std::map<std::string, std::string>& flags) {
 
   SparqlServerOptions server_options;
   if (flags.count("path")) server_options.service_path = flags.at("path");
-  if (flags.count("scan-threads")) {
-    server_options.scan_threads = std::stoul(flags.at("scan-threads"));
-  }
-  if (flags.count("max-concurrent")) {
-    server_options.max_concurrent = std::stoul(flags.at("max-concurrent"));
-  }
-  if (flags.count("per-client-concurrent")) {
-    server_options.max_concurrent_per_client =
-        std::stoul(flags.at("per-client-concurrent"));
-  }
-  if (flags.count("quota")) {
-    server_options.per_client_query_quota = std::stoull(flags.at("quota"));
-  }
-  if (flags.count("retry-after-s")) {
-    server_options.retry_after_seconds = std::stod(flags.at("retry-after-s"));
-  }
-  if (flags.count("legacy-planner")) {
-    server_options.local.engine.planner.use_statistics = false;
-  }
+  server_options.scan_threads =
+      CountFlag(flags, "scan-threads", server_options.scan_threads);
+  server_options.max_concurrent =
+      CountFlag(flags, "max-concurrent", server_options.max_concurrent);
+  server_options.max_concurrent_per_client = CountFlag(
+      flags, "per-client-concurrent", server_options.max_concurrent_per_client);
+  server_options.per_client_query_quota =
+      CountFlag(flags, "quota", server_options.per_client_query_quota);
+  server_options.retry_after_seconds =
+      RealFlag(flags, "retry-after-s", server_options.retry_after_seconds);
   SparqlServer server(&kb, server_options);
 
   HttpServerOptions http_options;
-  if (flags.count("port")) {
-    http_options.port = static_cast<uint16_t>(std::stoul(flags.at("port")));
-  }
+  http_options.port = static_cast<uint16_t>(port);
   if (flags.count("address")) http_options.bind_address = flags.at("address");
-  if (flags.count("workers")) {
-    http_options.worker_threads = std::stoul(flags.at("workers"));
-  }
+  http_options.worker_threads =
+      CountFlag(flags, "workers", http_options.worker_threads);
   HttpServer http(server.HttpHandler(), http_options);
   if (Status st = http.Start(); !st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -910,8 +929,7 @@ int Serve(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int Snapshot(const std::string& action,
-             const std::map<std::string, std::string>& flags) {
+int Snapshot(const std::string& action, const Flags& flags) {
   if (!flags.count("kb")) return Usage();
   if (action == "save") {
     if (!flags.count("out")) return Usage();
@@ -936,6 +954,7 @@ int Snapshot(const std::string& action,
     return 0;
   }
   if (action == "load") {
+    if (flags.count("out")) return Usage();
     KnowledgeBase kb("kb", "");
     WallTimer timer;
     auto report = kb.LoadSnapshot(flags.at("kb"));
@@ -960,31 +979,90 @@ int Snapshot(const std::string& action,
   return 2;
 }
 
+/// The flags `command` accepts; nullopt for an unknown subcommand.
+std::optional<FlagSpec> FlagsOf(const std::string& command) {
+  constexpr FlagKind kSwitch = FlagKind::kSwitch;
+  constexpr FlagKind kText = FlagKind::kText;
+  constexpr FlagKind kCount = FlagKind::kCount;
+  constexpr FlagKind kReal = FlagKind::kReal;
+  if (command == "generate") {
+    return FlagSpec{{"preset", kText}, {"out", kText}, {"seed", kCount},
+                    {"scale", kReal}, {"inverses", kSwitch}};
+  }
+  if (command == "align" || command == "record" || command == "replay") {
+    FlagSpec spec{{"kb1", kText},      {"kb2", kText},
+                  {"links", kText},    {"relation", kText},
+                  {"threads", kCount}, {"tau", kReal},
+                  {"measure", kText},  {"no-ubs", kSwitch},
+                  {"sample", kCount},  {"seed", kCount},
+                  {"base1", kText},    {"base2", kText},
+                  {"candidate-source", kText}};
+    if (command != "align") spec["cassette-dir"] = kText;
+    if (command == "replay") {
+      spec.insert({{"lenient", kSwitch},
+                   {"update", kSwitch},
+                   {"manifest-out", kText},
+                   {"expect-manifest", kText}});
+    }
+    return spec;
+  }
+  if (command == "query") {
+    return FlagSpec{{"kb", kText},
+                    {"endpoint-url", kText},
+                    {"sparql", kText},
+                    {"adaptive", kSwitch},
+                    {"scan-threads", kCount}};
+  }
+  if (command == "serve") {
+    return FlagSpec{{"kb", kText},
+                    {"port", kCount},
+                    {"address", kText},
+                    {"path", kText},
+                    {"scan-threads", kCount},
+                    {"workers", kCount},
+                    {"max-concurrent", kCount},
+                    {"per-client-concurrent", kCount},
+                    {"quota", kCount},
+                    {"retry-after-s", kReal},
+                    {"port-file", kText}};
+  }
+  if (command == "explain") {
+    return FlagSpec{{"kb", kText},
+                    {"sparql", kText},
+                    {"adaptive", kSwitch},
+                    {"execute", kSwitch},
+                    {"json", kSwitch}};
+  }
+  if (command == "snapshot") return FlagSpec{{"kb", kText}, {"out", kText}};
+  return std::nullopt;
+}
+
 }  // namespace
 }  // namespace sofya
 
 int main(int argc, char** argv) {
   if (argc < 2) return sofya::Usage();
   const std::string command = argv[1];
-  if (command == "snapshot") {
-    if (argc < 3) return sofya::Usage();
-    return sofya::Snapshot(argv[2], sofya::ParseFlags(argc, argv, 3));
-  }
   if (command == "manifest") {
-    if (argc < 5 || std::string(argv[2]) != "diff") return sofya::Usage();
+    if (argc != 5 || std::string(argv[2]) != "diff") return sofya::Usage();
     return sofya::ManifestDiff(argv[3], argv[4]);
   }
-  const auto flags = sofya::ParseFlags(argc, argv, 2);
-  if (command == "generate") return sofya::Generate(flags);
-  if (command == "align") return sofya::Align(flags);
+  // `snapshot` takes its action (save|load) before the flags.
+  const int first_flag = command == "snapshot" ? 3 : 2;
+  const auto spec = sofya::FlagsOf(command);
+  if (!spec || argc < first_flag) return sofya::Usage();
+  const auto flags = sofya::ParseFlags(argc, argv, first_flag, *spec);
+  if (!flags) return sofya::Usage();
+  if (command == "generate") return sofya::Generate(*flags);
+  if (command == "align") return sofya::Align(*flags);
   if (command == "record") {
-    return sofya::RunAlignment(flags, sofya::RunMode::kRecord);
+    return sofya::RunAlignment(*flags, sofya::RunMode::kRecord);
   }
   if (command == "replay") {
-    return sofya::RunAlignment(flags, sofya::RunMode::kReplay);
+    return sofya::RunAlignment(*flags, sofya::RunMode::kReplay);
   }
-  if (command == "query") return sofya::Query(flags);
-  if (command == "serve") return sofya::Serve(flags);
-  if (command == "explain") return sofya::Explain(flags);
-  return sofya::Usage();
+  if (command == "query") return sofya::Query(*flags);
+  if (command == "serve") return sofya::Serve(*flags);
+  if (command == "explain") return sofya::Explain(*flags);
+  return sofya::Snapshot(argv[2], *flags);
 }
